@@ -68,7 +68,7 @@ const char* LoadStrategyToString(LoadStrategy s) {
 
 class Warehouse::CatalogWriter {
  public:
-  explicit CatalogWriter(storage::Catalog* catalog) : catalog_(catalog) {}
+  explicit CatalogWriter(Warehouse* warehouse) : warehouse_(warehouse) {}
 
   // A session that errors out mid-way still publishes what it staged:
   // registry entries (FileEntry.hydrated, metadata, tombstones) are
@@ -85,21 +85,28 @@ class Warehouse::CatalogWriter {
   Result<Table*> Mutable(const std::string& name) {
     auto it = copies_.find(name);
     if (it != copies_.end()) return it->second.get();
-    LAZYETL_ASSIGN_OR_RETURN(TablePtr current, catalog_->GetTable(name));
+    LAZYETL_ASSIGN_OR_RETURN(TablePtr current,
+                             warehouse_->catalog_->GetTable(name));
     auto copy = std::make_shared<Table>(*current);
     Table* raw = copy.get();
     copies_[name] = std::move(copy);
     return raw;
   }
 
-  // Swaps every staged clone into the catalog.
+  // Swaps every staged clone into the catalog, then bumps the result
+  // cache's admission epoch: a query planned against the old tables must
+  // not admit its result under the registry's new mtimes.
   void Publish() {
-    for (auto& [name, table] : copies_) catalog_->PutTable(name, table);
+    if (copies_.empty()) return;
+    for (auto& [name, table] : copies_) {
+      warehouse_->catalog_->PutTable(name, table);
+    }
     copies_.clear();
+    warehouse_->result_recycler_->BumpEpoch();
   }
 
  private:
-  storage::Catalog* catalog_;
+  Warehouse* warehouse_;
   std::map<std::string, TablePtr> copies_;
 };
 
@@ -403,7 +410,7 @@ Result<std::unique_ptr<engine::RecordStream>> WarehouseRecordStream::Create(
   // query may have fixed it meanwhile.
   if (!fix.empty()) {
     std::unique_lock lock(warehouse->meta_mu_);
-    Warehouse::CatalogWriter writer(warehouse->catalog_.get());
+    Warehouse::CatalogWriter writer(warehouse);
     for (int64_t fid : fix) {
       Warehouse::FileEntry& entry = warehouse->files_[fid - 1];
       if (entry.file_id == 0) {
@@ -812,7 +819,7 @@ Result<std::vector<RecordKey>> WarehouseDataProvider::AllRecordKeys(
   }
   if (!unhydrated.empty()) {
     std::unique_lock lock(warehouse_->meta_mu_);
-    Warehouse::CatalogWriter writer(warehouse_->catalog_.get());
+    Warehouse::CatalogWriter writer(warehouse_);
     for (int64_t fid : unhydrated) {
       Warehouse::FileEntry& entry = warehouse_->files_[fid - 1];
       if (entry.file_id == 0 || entry.hydrated) continue;
@@ -1282,7 +1289,7 @@ Result<LoadStats> Warehouse::AttachRepository(const std::string& root) {
   LAZYETL_ASSIGN_OR_RETURN(auto scanned, mseed::ScanRepository(root));
   {
     std::unique_lock lock(meta_mu_);
-    CatalogWriter writer(catalog_.get());
+    CatalogWriter writer(this);
     for (const auto& f : scanned) {
       if (path_to_file_id_.count(f.path)) continue;  // already attached
       LAZYETL_RETURN_NOT_OK(AttachFileLocked(f.path, &writer, &stats));
@@ -1437,7 +1444,7 @@ Status Warehouse::RefreshStaleCandidates(const sql::BoundQuery& query,
 
   // Pass 3 (exclusive): re-check and re-load, one COW session.
   std::unique_lock lock(meta_mu_);
-  CatalogWriter writer(catalog_.get());
+  CatalogWriter writer(this);
   for (int64_t fid : changed) {
     FileEntry& entry = files_[fid - 1];
     if (entry.file_id == 0) continue;
@@ -1556,7 +1563,7 @@ Status Warehouse::HydrateForQuery(const sql::BoundQuery& query,
   }
   if (!todo.empty()) {
     std::unique_lock lock(meta_mu_);
-    CatalogWriter writer(catalog_.get());
+    CatalogWriter writer(this);
     for (int64_t fid : todo) {
       FileEntry& entry = files_[fid - 1];
       if (entry.file_id == 0 || entry.hydrated) continue;
@@ -1609,248 +1616,13 @@ Result<uint64_t> Warehouse::EstimateColdExtractionBytes(
   return bytes;
 }
 
-Result<QueryResult> Warehouse::Query(const std::string& sql,
-                                     const QueryOptions& query_options) {
-  Stopwatch total;
-  ExecutionReport report;
-  report.sql = sql;
-
-  common::AdmissionRequest request;
-  request.priority = query_options.priority;
-  request.client_id = query_options.client_id;
-  request.client_weight = query_options.client_weight;
-  request.queue_timeout_ms =
-      ResolveQueueTimeoutMs(query_options.queue_timeout_ms);
-
-  // Admission control: policy-driven ticket, held (RAII, via the
-  // QueryContext) for the query's whole lifetime. The ticket's budget —
-  // carved from the process-global cap — governs breaker state,
-  // extraction windows and (via the recycler's governor) cache
-  // admissions. Only footprint-aware admission needs the plan before the
-  // ticket; otherwise admit first, so the scheduler bound also caps
-  // concurrent metadata refresh/hydration work (the PR 4 shape).
-  common::QueryTicket ticket;
-  if (!options_.footprint_aware_admission) {
-    LAZYETL_ASSIGN_OR_RETURN(ticket, scheduler_->Admit(request));
-    LogOp(LogCategory::kQuery,
-          "query (ticket " + std::to_string(ticket.id()) + ", priority " +
-              common::QueryPriorityToString(request.priority) + "): " + sql);
-  }
-
-  Stopwatch phase;
-  LAZYETL_ASSIGN_OR_RETURN(sql::SelectStatement stmt, sql::Parse(sql));
-  report.parse_seconds = phase.ElapsedSeconds();
-
-  phase.Restart();
-  sql::Binder binder(catalog_.get());
-  LAZYETL_ASSIGN_OR_RETURN(sql::BoundQuery bound, binder.Bind(stmt));
-  report.bind_seconds = phase.ElapsedSeconds();
-
-  if (IsLazyStrategy()) {
-    // Lazy refreshment (§3.3): before executing, verify the candidate
-    // files' mtimes and re-load metadata of any that changed, so the
-    // metadata phase of the plan sees the current repository state.
-    LAZYETL_RETURN_NOT_OK(RefreshStaleCandidates(bound, &report));
-  }
-  if (options_.strategy == LoadStrategy::kLazyFilenameOnly) {
-    LAZYETL_RETURN_NOT_OK(HydrateForQuery(bound, &report));
-  }
-
-  phase.Restart();
-  std::set<std::string> lazy_tables;
-  if (IsLazyStrategy()) lazy_tables.insert(kDataTable);
-  engine::Planner planner(catalog_.get(), lazy_tables,
-                          options_.enable_metadata_pruning);
-  LAZYETL_ASSIGN_OR_RETURN(engine::PlannedQuery planned, planner.Plan(bound));
-  report.plan_before = planned.naive_plan;
-  report.plan_after = planned.plan->ToString();
-  report.plan_seconds = phase.ElapsedSeconds();
-  LogOp(LogCategory::kPlan,
-        "compile-time reorganisation done (metadata predicates first)");
-
-  // Sub-plan cache: recognize the topmost breaker subtree and, when a
-  // still-valid materialization exists, substitute a CachedScan for it
-  // before admission — footprint estimation then sees the substituted
-  // plan, so a served sub-plan admits near-free. The original subtree is
-  // detached (not destroyed): the footprint path re-validates after its
-  // queue wait and reverts on staleness.
-  engine::PlanNodePtr* sub_slot = nullptr;
-  std::string subplan_fp;
-  uint64_t plan_epoch = 0;
-  engine::PlanNodePtr subplan_detached;
-  std::vector<engine::ResultDependency> subplan_deps;
-  bool subplan_hit = false;
-  auto dep_mtime_fn = [this](const engine::ResultDependency& dep) {
-    return CurrentMtime(dep.path);
-  };
-  if (plan_cache_ != nullptr) {
-    sub_slot = engine::FindCacheableSubPlan(&planned.plan);
-    if (sub_slot != nullptr) {
-      subplan_fp = engine::PlanFingerprint(**sub_slot);
-      if (subplan_fp.empty()) sub_slot = nullptr;
-    }
-    if (sub_slot != nullptr) {
-      plan_epoch = plan_cache_->epoch();
-      engine::CachedSubPlanPtr cached =
-          plan_cache_->ValidateAndGet(subplan_fp, dep_mtime_fn);
-      if (cached != nullptr) {
-        subplan_detached = std::move(*sub_slot);
-        *sub_slot = engine::MakeCachedScan(cached->table, "subplan");
-        subplan_deps = cached->deps;
-        subplan_hit = true;
-        report.plan_cache_hit = true;
-        report.plan_runtime +=
-            "sub-plan cache hit: breaker subtree replaced by CachedScan\n" +
-            planned.plan->ToString();
-        LogOp(LogCategory::kCache, "sub-plan served from plan cache");
-      }
-    }
-  }
-
-  // Footprint-aware admission: estimate from the just-built plan, then
-  // take the ticket.
-  if (options_.footprint_aware_admission) {
-    uint64_t lazy_bytes = 0;
-    if (IsLazyStrategy()) {
-      auto cold = EstimateColdExtractionBytes(bound);
-      if (cold.ok()) lazy_bytes = *cold;
-    }
-    request.estimated_bytes =
-        engine::EstimatePlanFootprint(*planned.plan, *catalog_, lazy_bytes);
-    // A still-valid cached whole result needs no execution memory: drop
-    // the estimate so the hit is never footprint-gated behind headroom it
-    // will not use (the authoritative probe below runs post-admission, at
-    // the same point as on the FIFO path).
-    if (options_.enable_result_cache &&
-        result_recycler_->ValidateAndGet(
-            sql,
-            [this](const engine::ResultDependency& dep) {
-              return CurrentMtime(dep.path);
-            }) != nullptr) {
-      request.estimated_bytes = 0;
-    }
-    LAZYETL_ASSIGN_OR_RETURN(ticket, scheduler_->Admit(request));
-    LogOp(LogCategory::kQuery,
-          "query (ticket " + std::to_string(ticket.id()) + ", priority " +
-              common::QueryPriorityToString(request.priority) +
-              ", estimated footprint " +
-              std::to_string(request.estimated_bytes) + " B): " + sql);
-
-    // The cached sub-plan was validated before queueing for admission;
-    // files may have changed while this query waited. Re-validate and
-    // fall back to the detached original subtree on staleness —
-    // correctness never depends on the cache.
-    if (subplan_hit) {
-      bool fresh = true;
-      for (const auto& dep : subplan_deps) {
-        if (CurrentMtime(dep.path) != dep.mtime) {
-          fresh = false;
-          break;
-        }
-      }
-      if (!fresh) {
-        *sub_slot = std::move(subplan_detached);
-        subplan_deps.clear();
-        subplan_hit = false;
-        report.plan_cache_hit = false;
-        report.plan_runtime.clear();
-      }
-    }
-  }
-
-  // Whole-result recycling.
-  if (options_.enable_result_cache) {
-    auto mtime_fn = [this](const engine::ResultDependency& dep) {
-      return CurrentMtime(dep.path);
-    };
-    engine::CachedResultPtr cached =
-        result_recycler_->ValidateAndGet(sql, mtime_fn);
-    if (cached != nullptr) {
-      result_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      // The executed path gets these from Executor::Execute (via the
-      // QueryContext); the early return must fill them itself.
-      report.ticket_id = ticket.id();
-      report.queue_wait_seconds = ticket.queue_wait_seconds();
-      report.admitted_budget_bytes = ticket.admitted_budget_bytes();
-      report.priority = common::QueryPriorityToString(request.priority);
-      report.client_id = request.client_id;
-      report.estimated_footprint_bytes = request.estimated_bytes;
-      report.result_cache_hit = true;
-      report.result_rows = cached->table.num_rows();
-      report.total_seconds = total.ElapsedSeconds();
-      LogOp(LogCategory::kCache, "query answered from result cache");
-      QueryResult qr{cached->table, std::move(report)};
-      return qr;
-    }
-  }
-
-  phase.Restart();
-  // Per-query execution state: the context adopts the admission ticket
-  // (so the slot is held until execution finishes) and labels its spill
-  // directory with the ticket id; the provider carries the query's
-  // result-cache dependencies.
-  engine::QueryContext qctx(std::move(ticket), options_.spill_dir);
-  WarehouseDataProvider provider(this, &qctx);
-  // Budget and spill state come from the QueryContext; ExecutorOptions
-  // carries only the knobs the context does not own.
-  engine::ExecutorOptions exec_options;
-  exec_options.batch_rows = options_.batch_rows;
-  exec_options.query_threads = options_.query_threads;
-  engine::Executor executor(catalog_.get(), &provider, exec_options);
-  Table result;
-  if (plan_cache_ != nullptr && sub_slot != nullptr && !subplan_hit) {
-    // Sub-plan miss: execute the breaker subtree first, admit its
-    // materialization together with the dependency set the execution
-    // recorded, then run the remainder of the plan over the cached
-    // table. Byte-identical to single-phase execution: the breaker's
-    // output is deterministic, and the remainder consumes the same rows
-    // in the same order.
-    const bool sub_is_root = (sub_slot == &planned.plan);
-    LAZYETL_ASSIGN_OR_RETURN(Table sub_result,
-                             executor.Execute(**sub_slot, &report, &qctx));
-    auto sub_table = std::make_shared<Table>(std::move(sub_result));
-    engine::CachedSubPlan entry;
-    entry.table = sub_table;
-    entry.deps = provider.deps();
-    entry.admitted_at = NowNanos();
-    plan_cache_->Admit(subplan_fp, std::move(entry), plan_epoch);
-    if (sub_is_root) {
-      result = *sub_table;
-    } else {
-      *sub_slot = engine::MakeCachedScan(sub_table, "subplan");
-      LAZYETL_ASSIGN_OR_RETURN(
-          result, executor.Execute(*planned.plan, &report, &qctx));
-    }
-  } else {
-    LAZYETL_ASSIGN_OR_RETURN(result,
-                             executor.Execute(*planned.plan, &report, &qctx));
-  }
-  report.execute_seconds = phase.ElapsedSeconds();
-  report.result_rows = result.num_rows();
-  report.total_seconds = total.ElapsedSeconds();
-
-  if (options_.enable_result_cache) {
-    engine::CachedResult cached;
-    cached.table = result;
-    cached.deps = provider.deps();
-    // A sub-plan served from cache contributes files this execution never
-    // opened; the whole result still depends on them.
-    cached.deps.insert(cached.deps.end(), subplan_deps.begin(),
-                       subplan_deps.end());
-    cached.admitted_at = NowNanos();
-    result_recycler_->Admit(sql, std::move(cached));
-  }
-  LogOp(LogCategory::kQuery,
-        "query done: " + std::to_string(report.result_rows) + " rows in " +
-            std::to_string(report.total_seconds) + "s");
-  return QueryResult{std::move(result), std::move(report)};
-}
-
 // ---------------------------------------------------------------------------
-// QueryCursor: the streaming form of Query(). The front half (admission,
-// parse/bind, lazy refresh/hydration, planning, cache probes) mirrors
-// Query() step for step so report fields and admission behavior are
-// identical; the back half suspends instead of draining.
+// The query lifecycle, written once. Prepare() admits, parses and binds,
+// refreshes stale candidate files, hydrates, plans, probes the sub-plan and
+// result caches and opens the execution cursor. OpenCursor() is Prepare()
+// with the backpressure window; Query() is Prepare() with an unbounded
+// window, followed by a drain and the cache admissions only a materialized
+// result can make: the sub-plan on a miss, and the whole result.
 // ---------------------------------------------------------------------------
 
 struct QueryCursor::Impl {
@@ -1870,11 +1642,20 @@ struct QueryCursor::Impl {
   engine::PlanNodePtr subplan_detached;  // kept alive on a sub-plan hit
   std::unique_ptr<engine::ExecutionCursor> exec;
 
-  // Result-cache hit: stream the cached table in batch-sized chunks (the
-  // shared_ptr keeps it alive; the ticket is released at open — a cache
-  // hit needs no execution resources).
+  // Result-cache hit: the cached table is served instead of executing
+  // (the ticket is released at open — a hit needs no execution resources).
   engine::CachedResultPtr cached;
   size_t cached_offset = 0;
+
+  // Cache admission state, used by Query(). On a sub-plan miss of an
+  // unbounded-window query, `exec` runs only the subtree at
+  // `subplan_to_admit` so its output can be admitted before the rest of
+  // the plan runs over it.
+  engine::PlanNodePtr* subplan_to_admit = nullptr;
+  std::string subplan_fp;
+  std::vector<engine::ResultDependency> subplan_deps;  // of a served hit
+  uint64_t plan_epoch = 0;
+  uint64_t result_epoch = 0;
 
   size_t batch_rows = engine::kDefaultBatchRows;
   uint64_t rows_streamed = 0;
@@ -1905,9 +1686,9 @@ struct QueryCursor::Impl {
     cached.reset();
     if (ran) {
       LogOp(LogCategory::kQuery,
-            "cursor done: " + std::to_string(rows_streamed) +
-                " rows streamed in " + std::to_string(report.total_seconds) +
-                "s");
+            "query done (ticket " + std::to_string(report.ticket_id) +
+                "): " + std::to_string(rows_streamed) + " rows in " +
+                std::to_string(report.total_seconds) + "s");
     }
   }
 };
@@ -1954,17 +1735,12 @@ Result<bool> QueryCursor::Next(storage::Table* out) {
 
   engine::Batch batch;
   auto more = im.exec->Next(&batch);
-  if (!more.ok()) {
-    // Mid-stream failure (extraction I/O, spill breaker): release
-    // everything now; the error is sticky.
+  if (!more.ok() || !*more) {
+    // End of stream, or a mid-stream failure (extraction I/O, spill
+    // breaker): release everything now; an error is sticky.
     im.finished = true;
     im.Release();
-    return more.status();
-  }
-  if (!*more) {
-    im.finished = true;
-    im.Release();
-    return false;
+    return more;
   }
   *out = batch.view.Materialize();
   im.emitted_first = true;
@@ -1972,16 +1748,47 @@ Result<bool> QueryCursor::Next(storage::Table* out) {
   return true;
 }
 
-Result<std::unique_ptr<QueryCursor>> Warehouse::OpenCursor(
-    const std::string& sql) {
-  return OpenCursor(sql, QueryOptions());
+Result<sql::BoundQuery> Warehouse::ParseAndBind(const std::string& sql,
+                                                ExecutionReport* report) {
+  Stopwatch phase;
+  LAZYETL_ASSIGN_OR_RETURN(sql::SelectStatement stmt, sql::Parse(sql));
+  report->parse_seconds = phase.ElapsedSeconds();
+  phase.Restart();
+  sql::Binder binder(catalog_.get());
+  LAZYETL_ASSIGN_OR_RETURN(sql::BoundQuery bound, binder.Bind(stmt));
+  report->bind_seconds = phase.ElapsedSeconds();
+  return bound;
 }
 
-Result<std::unique_ptr<QueryCursor>> Warehouse::OpenCursor(
-    const std::string& sql, const QueryOptions& query_options) {
+Result<engine::PlannedQuery> Warehouse::PlanBound(const sql::BoundQuery& bound,
+                                                  ExecutionReport* report) {
+  Stopwatch phase;
+  std::set<std::string> lazy_tables;
+  if (IsLazyStrategy()) lazy_tables.insert(kDataTable);
+  engine::Planner planner(catalog_.get(), lazy_tables,
+                          options_.enable_metadata_pruning);
+  LAZYETL_ASSIGN_OR_RETURN(engine::PlannedQuery planned, planner.Plan(bound));
+  report->plan_before = planned.naive_plan;
+  report->plan_after = planned.plan->ToString();
+  report->plan_seconds = phase.ElapsedSeconds();
+  return planned;
+}
+
+bool Warehouse::DepsFresh(
+    const std::vector<engine::ResultDependency>& deps) const {
+  for (const auto& dep : deps) {
+    if (CurrentMtime(dep.path) != dep.mtime) return false;
+  }
+  return true;
+}
+
+Result<std::unique_ptr<QueryCursor>> Warehouse::Prepare(
+    const std::string& sql, const QueryOptions& query_options,
+    size_t window_batches) {
   auto cursor = std::unique_ptr<QueryCursor>(new QueryCursor());
   QueryCursor::Impl& im = *cursor->impl_;
-  im.report.sql = sql;
+  ExecutionReport& report = im.report;
+  report.sql = sql;
   im.batch_rows = options_.batch_rows == SIZE_MAX ? engine::kDefaultBatchRows
                                                   : options_.batch_rows;
 
@@ -1992,136 +1799,140 @@ Result<std::unique_ptr<QueryCursor>> Warehouse::OpenCursor(
   request.queue_timeout_ms =
       ResolveQueueTimeoutMs(query_options.queue_timeout_ms);
 
-  // Admission: identical to Query() — ticket first unless footprint-aware
-  // (the scheduler records queue waits and timeouts the same way, so
-  // queue_wait_seconds and queries_timed_out cover the cursor path too).
+  // Admission control: a policy-driven ticket, held (RAII, via the
+  // QueryContext) for the query's whole execution. Its budget — carved
+  // from the process-global cap — governs breaker state, extraction
+  // windows and (via the recycler's governor) cache admissions. Only
+  // footprint-aware admission needs the plan before the ticket; otherwise
+  // admit first, so the scheduler bound also caps concurrent metadata
+  // refresh/hydration work. A queue timeout fails here with
+  // DeadlineExceeded before any state is touched.
+  const bool footprint = options_.footprint_aware_admission;
   common::QueryTicket ticket;
-  if (!options_.footprint_aware_admission) {
+  auto admit = [&]() -> Status {
     LAZYETL_ASSIGN_OR_RETURN(ticket, scheduler_->Admit(request));
-    LogOp(LogCategory::kQuery,
-          "cursor (ticket " + std::to_string(ticket.id()) + ", priority " +
-              common::QueryPriorityToString(request.priority) + "): " + sql);
-  }
+    std::string line = "query (ticket " + std::to_string(ticket.id()) +
+                       ", priority " +
+                       common::QueryPriorityToString(request.priority);
+    if (footprint) {
+      line += ", estimated footprint " +
+              std::to_string(request.estimated_bytes) + " B";
+    }
+    LogOp(LogCategory::kQuery, line + "): " + sql);
+    return Status::OK();
+  };
+  if (!footprint) LAZYETL_RETURN_NOT_OK(admit());
 
-  Stopwatch phase;
-  LAZYETL_ASSIGN_OR_RETURN(sql::SelectStatement stmt, sql::Parse(sql));
-  im.report.parse_seconds = phase.ElapsedSeconds();
-
-  phase.Restart();
-  sql::Binder binder(catalog_.get());
-  LAZYETL_ASSIGN_OR_RETURN(sql::BoundQuery bound, binder.Bind(stmt));
-  im.report.bind_seconds = phase.ElapsedSeconds();
-
+  LAZYETL_ASSIGN_OR_RETURN(sql::BoundQuery bound, ParseAndBind(sql, &report));
   if (IsLazyStrategy()) {
-    LAZYETL_RETURN_NOT_OK(RefreshStaleCandidates(bound, &im.report));
+    // Lazy refreshment (§3.3): before executing, verify the candidate
+    // files' mtimes and re-load metadata of any that changed, so the
+    // metadata phase of the plan sees the current repository state.
+    LAZYETL_RETURN_NOT_OK(RefreshStaleCandidates(bound, &report));
   }
   if (options_.strategy == LoadStrategy::kLazyFilenameOnly) {
-    LAZYETL_RETURN_NOT_OK(HydrateForQuery(bound, &im.report));
+    LAZYETL_RETURN_NOT_OK(HydrateForQuery(bound, &report));
   }
+  // Admission epochs, observed against the catalog this query plans on:
+  // a publish after this point refuses the query's cache admissions.
+  im.result_epoch = result_recycler_->epoch();
+  if (plan_cache_ != nullptr) im.plan_epoch = plan_cache_->epoch();
+  LAZYETL_ASSIGN_OR_RETURN(im.planned, PlanBound(bound, &report));
+  LogOp(LogCategory::kPlan,
+        "compile-time reorganisation done (metadata predicates first)");
 
-  phase.Restart();
-  std::set<std::string> lazy_tables;
-  if (IsLazyStrategy()) lazy_tables.insert(kDataTable);
-  engine::Planner planner(catalog_.get(), lazy_tables,
-                          options_.enable_metadata_pruning);
-  LAZYETL_ASSIGN_OR_RETURN(im.planned, planner.Plan(bound));
-  im.report.plan_before = im.planned.naive_plan;
-  im.report.plan_after = im.planned.plan->ToString();
-  im.report.plan_seconds = phase.ElapsedSeconds();
-
-  // Sub-plan cache: hits are honored exactly as in Query(); on a miss the
-  // original plan executes unchanged (the streaming path materializes no
-  // breaker output to admit).
+  // Sub-plan cache: recognize the topmost breaker subtree and, when a
+  // still-valid materialization exists, substitute a CachedScan for it —
+  // footprint estimation then sees the substituted plan, so a served
+  // sub-plan admits near-free. The original subtree is detached (not
+  // destroyed): the footprint path re-validates after its queue wait and
+  // reverts on staleness.
+  engine::PlanNodePtr* sub_slot =
+      plan_cache_ != nullptr ? engine::FindCacheableSubPlan(&im.planned.plan)
+                             : nullptr;
+  if (sub_slot != nullptr) {
+    im.subplan_fp = engine::PlanFingerprint(**sub_slot);
+    if (im.subplan_fp.empty()) sub_slot = nullptr;
+  }
   auto dep_mtime_fn = [this](const engine::ResultDependency& dep) {
     return CurrentMtime(dep.path);
   };
-  engine::PlanNodePtr* sub_slot = nullptr;
-  std::vector<engine::ResultDependency> subplan_deps;
-  bool subplan_hit = false;
-  if (plan_cache_ != nullptr) {
-    sub_slot = engine::FindCacheableSubPlan(&im.planned.plan);
-    std::string subplan_fp;
-    if (sub_slot != nullptr) {
-      subplan_fp = engine::PlanFingerprint(**sub_slot);
-      if (subplan_fp.empty()) sub_slot = nullptr;
-    }
-    if (sub_slot != nullptr) {
-      engine::CachedSubPlanPtr cached_sub =
-          plan_cache_->ValidateAndGet(subplan_fp, dep_mtime_fn);
-      if (cached_sub != nullptr) {
-        im.subplan_detached = std::move(*sub_slot);
-        *sub_slot = engine::MakeCachedScan(cached_sub->table, "subplan");
-        subplan_deps = cached_sub->deps;
-        subplan_hit = true;
-        im.report.plan_cache_hit = true;
-        im.report.plan_runtime +=
-            "sub-plan cache hit: breaker subtree replaced by CachedScan\n" +
-            im.planned.plan->ToString();
-        LogOp(LogCategory::kCache, "sub-plan served from plan cache");
-      }
+  if (sub_slot != nullptr) {
+    engine::CachedSubPlanPtr hit =
+        plan_cache_->ValidateAndGet(im.subplan_fp, dep_mtime_fn);
+    if (hit != nullptr) {
+      im.subplan_detached = std::move(*sub_slot);
+      *sub_slot = engine::MakeCachedScan(hit->table, "subplan");
+      im.subplan_deps = hit->deps;
     }
   }
 
-  if (options_.footprint_aware_admission) {
-    uint64_t lazy_bytes = 0;
-    if (IsLazyStrategy()) {
-      auto cold = EstimateColdExtractionBytes(bound);
-      if (cold.ok()) lazy_bytes = *cold;
-    }
-    request.estimated_bytes =
-        engine::EstimatePlanFootprint(*im.planned.plan, *catalog_, lazy_bytes);
-    if (options_.enable_result_cache &&
-        result_recycler_->ValidateAndGet(sql, dep_mtime_fn) != nullptr) {
-      request.estimated_bytes = 0;
-    }
-    LAZYETL_ASSIGN_OR_RETURN(ticket, scheduler_->Admit(request));
-    LogOp(LogCategory::kQuery,
-          "cursor (ticket " + std::to_string(ticket.id()) + ", priority " +
-              common::QueryPriorityToString(request.priority) +
-              ", estimated footprint " +
-              std::to_string(request.estimated_bytes) + " B): " + sql);
-    // Re-validate the cached sub-plan after the queue wait, reverting to
-    // the detached subtree on staleness (see Query()).
-    if (subplan_hit) {
-      bool fresh = true;
-      for (const auto& dep : subplan_deps) {
-        if (CurrentMtime(dep.path) != dep.mtime) {
-          fresh = false;
-          break;
-        }
-      }
-      if (!fresh) {
-        *sub_slot = std::move(im.subplan_detached);
-        subplan_hit = false;
-        im.report.plan_cache_hit = false;
-        im.report.plan_runtime.clear();
-      }
-    }
-  }
-
-  // Whole-result recycling: a still-valid cached result streams out in
-  // batch-sized chunks. The ticket is released here — serving from cache
-  // needs no execution slot, matching the materializing early return.
+  // Whole-result recycling, probed once.
   if (options_.enable_result_cache) {
-    engine::CachedResultPtr cached =
-        result_recycler_->ValidateAndGet(sql, dep_mtime_fn);
-    if (cached != nullptr) {
-      result_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      im.report.ticket_id = ticket.id();
-      im.report.queue_wait_seconds = ticket.queue_wait_seconds();
-      im.report.admitted_budget_bytes = ticket.admitted_budget_bytes();
-      im.report.priority = common::QueryPriorityToString(request.priority);
-      im.report.client_id = request.client_id;
-      im.report.estimated_footprint_bytes = request.estimated_bytes;
-      im.report.result_cache_hit = true;
-      im.report.result_rows = cached->table.num_rows();
-      im.report.total_seconds = im.total.ElapsedSeconds();
-      im.cached = std::move(cached);
-      LogOp(LogCategory::kCache, "cursor answered from result cache");
-      return cursor;
+    im.cached = result_recycler_->ValidateAndGet(sql, dep_mtime_fn);
+  }
+
+  if (footprint) {
+    // Estimate from the just-built plan, then take the ticket. A
+    // still-valid cached whole result needs no execution memory, so the
+    // hit is never footprint-gated behind headroom it will not use.
+    if (im.cached == nullptr) {
+      uint64_t lazy_bytes = 0;
+      if (IsLazyStrategy()) {
+        auto cold = EstimateColdExtractionBytes(bound);
+        if (cold.ok()) lazy_bytes = *cold;
+      }
+      request.estimated_bytes =
+          engine::EstimatePlanFootprint(*im.planned.plan, *catalog_,
+                                        lazy_bytes);
+    }
+    LAZYETL_RETURN_NOT_OK(admit());
+    // The hits were validated before queueing; files may have changed
+    // while this query waited. Re-validate and fall back to executing —
+    // correctness never depends on the cache.
+    if (im.cached != nullptr && !DepsFresh(im.cached->deps)) {
+      im.cached.reset();
+    }
+    if (im.subplan_detached != nullptr && !DepsFresh(im.subplan_deps)) {
+      *sub_slot = std::move(im.subplan_detached);
+      im.subplan_deps.clear();
     }
   }
 
+  if (im.cached != nullptr) {
+    result_cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    // The executed path gets these from Executor::OpenCursor (via the
+    // QueryContext); a cache hit fills them itself.
+    report.ticket_id = ticket.id();
+    report.queue_wait_seconds = ticket.queue_wait_seconds();
+    report.admitted_budget_bytes = ticket.admitted_budget_bytes();
+    report.priority = common::QueryPriorityToString(request.priority);
+    report.client_id = request.client_id;
+    report.estimated_footprint_bytes = request.estimated_bytes;
+    report.result_cache_hit = true;
+    report.result_rows = im.cached->table.num_rows();
+    report.total_seconds = im.total.ElapsedSeconds();
+    LogOp(LogCategory::kCache, "query answered from result cache (ticket " +
+                                   std::to_string(ticket.id()) + ")");
+    return cursor;
+  }
+
+  // A sub-plan hit is reported only when the query executes over it; a
+  // whole-result hit above answers without it.
+  if (im.subplan_detached != nullptr) {
+    report.plan_cache_hit = true;
+    report.plan_runtime +=
+        "sub-plan cache hit: breaker subtree replaced by CachedScan\n" +
+        im.planned.plan->ToString();
+    LogOp(LogCategory::kCache, "sub-plan served from plan cache (ticket " +
+                                   std::to_string(ticket.id()) + ")");
+  }
+
+  // Per-query execution state: the context adopts the admission ticket
+  // (so the slot is held until execution finishes) and labels its spill
+  // directory with the ticket id; the provider carries the query's
+  // result-cache dependencies. A materializing caller on a sub-plan miss
+  // runs the breaker subtree alone first, to admit its output.
   im.exec_phase.Restart();
   im.qctx = std::make_unique<engine::QueryContext>(std::move(ticket),
                                                    options_.spill_dir);
@@ -2129,35 +1940,91 @@ Result<std::unique_ptr<QueryCursor>> Warehouse::OpenCursor(
   engine::ExecutorOptions exec_options;
   exec_options.batch_rows = options_.batch_rows;
   exec_options.query_threads = options_.query_threads;
-  im.executor = std::make_unique<engine::Executor>(catalog_.get(),
-                                                   im.provider.get(),
-                                                   exec_options);
+  im.executor = std::make_unique<engine::Executor>(
+      catalog_.get(), im.provider.get(), exec_options);
+  if (window_batches == 0 && sub_slot != nullptr &&
+      im.subplan_detached == nullptr) {
+    im.subplan_to_admit = sub_slot;
+  }
+  const engine::PlanNode& root = im.subplan_to_admit != nullptr
+                                     ? **im.subplan_to_admit
+                                     : *im.planned.plan;
   LAZYETL_ASSIGN_OR_RETURN(
-      im.exec,
-      im.executor->OpenCursor(*im.planned.plan, &im.report, im.qctx.get(),
-                              options_.cursor_window_batches));
+      im.exec, im.executor->OpenCursor(root, &report, im.qctx.get(),
+                                       window_batches));
   return cursor;
+}
+
+Result<QueryResult> Warehouse::Query(const std::string& sql,
+                                     const QueryOptions& query_options) {
+  LAZYETL_ASSIGN_OR_RETURN(std::unique_ptr<QueryCursor> cursor,
+                           Prepare(sql, query_options, /*window_batches=*/0));
+  QueryCursor::Impl& im = *cursor->impl_;
+  if (im.cached != nullptr) {
+    Table result = im.cached->table;
+    im.rows_streamed = result.num_rows();
+    im.Release();
+    return QueryResult{std::move(result), std::move(im.report)};
+  }
+
+  LAZYETL_ASSIGN_OR_RETURN(Table result, im.exec->Drain());
+  if (im.subplan_to_admit != nullptr) {
+    // Sub-plan miss: admit the breaker subtree's materialization together
+    // with the dependency set its execution recorded, then run the
+    // remainder of the plan over the cached table. Byte-identical to
+    // single-phase execution: the breaker's output is deterministic, and
+    // the remainder consumes the same rows in the same order.
+    auto sub_table = std::make_shared<Table>(std::move(result));
+    engine::CachedSubPlan entry;
+    entry.table = sub_table;
+    entry.deps = im.provider->deps();
+    entry.admitted_at = NowNanos();
+    plan_cache_->Admit(im.subplan_fp, std::move(entry), im.plan_epoch);
+    if (im.subplan_to_admit == &im.planned.plan) {
+      result = *sub_table;
+    } else {
+      *im.subplan_to_admit = engine::MakeCachedScan(sub_table, "subplan");
+      LAZYETL_ASSIGN_OR_RETURN(
+          im.exec, im.executor->OpenCursor(*im.planned.plan, &im.report,
+                                           im.qctx.get(),
+                                           /*window_batches=*/0));
+      LAZYETL_ASSIGN_OR_RETURN(result, im.exec->Drain());
+    }
+  }
+
+  engine::CachedResult cached;
+  if (options_.enable_result_cache) {
+    cached.table = result;
+    cached.deps = im.provider->deps();
+    // A sub-plan served from cache contributes files this execution never
+    // opened; the whole result still depends on them.
+    cached.deps.insert(cached.deps.end(), im.subplan_deps.begin(),
+                       im.subplan_deps.end());
+  }
+  im.rows_streamed = result.num_rows();
+  im.Release();
+  if (options_.enable_result_cache) {
+    cached.admitted_at = NowNanos();
+    result_recycler_->Admit(sql, std::move(cached), im.result_epoch);
+  }
+  return QueryResult{std::move(result), std::move(im.report)};
+}
+
+Result<std::unique_ptr<QueryCursor>> Warehouse::OpenCursor(
+    const std::string& sql) {
+  return OpenCursor(sql, QueryOptions());
+}
+
+Result<std::unique_ptr<QueryCursor>> Warehouse::OpenCursor(
+    const std::string& sql, const QueryOptions& query_options) {
+  return Prepare(sql, query_options, options_.cursor_window_batches);
 }
 
 Result<engine::ExecutionReport> Warehouse::Explain(const std::string& sql) {
   ExecutionReport report;
   report.sql = sql;
-  Stopwatch phase;
-  LAZYETL_ASSIGN_OR_RETURN(sql::SelectStatement stmt, sql::Parse(sql));
-  report.parse_seconds = phase.ElapsedSeconds();
-  phase.Restart();
-  sql::Binder binder(catalog_.get());
-  LAZYETL_ASSIGN_OR_RETURN(sql::BoundQuery bound, binder.Bind(stmt));
-  report.bind_seconds = phase.ElapsedSeconds();
-  phase.Restart();
-  std::set<std::string> lazy_tables;
-  if (IsLazyStrategy()) lazy_tables.insert(kDataTable);
-  engine::Planner planner(catalog_.get(), lazy_tables,
-                          options_.enable_metadata_pruning);
-  LAZYETL_ASSIGN_OR_RETURN(engine::PlannedQuery planned, planner.Plan(bound));
-  report.plan_before = planned.naive_plan;
-  report.plan_after = planned.plan->ToString();
-  report.plan_seconds = phase.ElapsedSeconds();
+  LAZYETL_ASSIGN_OR_RETURN(sql::BoundQuery bound, ParseAndBind(sql, &report));
+  LAZYETL_RETURN_NOT_OK(PlanBound(bound, &report).status());
   report.total_seconds =
       report.parse_seconds + report.bind_seconds + report.plan_seconds;
   return report;
@@ -2209,7 +2076,7 @@ Result<RefreshStats> Warehouse::Refresh() {
   // another Refresh may have raced us — and apply in one COW session.
   if (!new_files.empty() || !modified.empty() || !deleted.empty()) {
     std::unique_lock lock(meta_mu_);
-    CatalogWriter writer(catalog_.get());
+    CatalogWriter writer(this);
     for (const mseed::ScannedFile* f : new_files) {
       if (path_to_file_id_.count(f->path)) continue;
       LoadStats ls;

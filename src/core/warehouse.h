@@ -62,6 +62,10 @@
 #include "mseed/reader.h"
 #include "storage/catalog.h"
 
+namespace lazyetl::engine {
+struct PlannedQuery;
+}  // namespace lazyetl::engine
+
 namespace lazyetl::core {
 
 enum class LoadStrategy {
@@ -227,13 +231,16 @@ struct QueryOptions {
 // released exactly once. Single consumer: Next/Close from one thread at
 // a time; different cursors are independent and may run concurrently.
 //
-// Semantics match Query() batch-for-batch: batches arrive in serial seq
-// order, so their concatenation is byte-identical to Query(sql).table;
-// the first batch always carries the result schema (possibly with zero
-// rows). A still-valid cached whole result is streamed in batch-sized
-// chunks. Streamed results are not admitted to the whole-result cache
-// (they are never materialized server-side); sub-plan cache hits are
-// honored, misses execute the original plan without populating the tier.
+// One lifecycle: OpenCursor() and Query() run the same preparation stage
+// (admission, parse/bind, lazy refresh and hydration, planning, sub-plan
+// and result-cache probes). They differ only in the backpressure window
+// and in Query()'s drain and the cache admissions only a materialized
+// result can make. So batches arrive in serial seq order and their
+// concatenation is byte-identical to Query(sql).table; the first batch
+// always carries the result schema (possibly with zero rows). A
+// still-valid cached whole result is streamed in batch-sized chunks.
+// Streamed results are not admitted to the whole-result cache, and a
+// sub-plan miss executes the original plan without populating the tier.
 class QueryCursor {
  public:
   ~QueryCursor();
@@ -312,19 +319,22 @@ class Warehouse {
   // repository roots (so Refresh() keeps working).
   Result<LoadStats> AttachPersisted(const std::string& persist_dir);
 
-  // Parses, binds, plans, and executes `sql`. The report documents plan
-  // reorganisation, run-time rewriting, extraction and cache activity —
-  // plus, under concurrent serving, the admission ticket, queue wait,
-  // priority class and carved budget. Safe to call from many threads at
-  // once. The one-argument form runs with default QueryOptions (NORMAL
-  // priority, anonymous tenant, warehouse-default timeout).
+  // Parses, binds, plans, and executes `sql`: OpenCursor()'s preparation
+  // stage with an unbounded window, drained into one table, after which
+  // the sub-plan (on a miss) and the whole result are admitted to their
+  // caches. The report documents plan reorganisation, run-time
+  // rewriting, extraction and cache activity — plus, under concurrent
+  // serving, the admission ticket, queue wait, priority class and carved
+  // budget. Safe to call from many threads at once. The one-argument form
+  // runs with default QueryOptions (NORMAL priority, anonymous tenant,
+  // warehouse-default timeout).
   Result<QueryResult> Query(const std::string& sql);
   Result<QueryResult> Query(const std::string& sql,
                             const QueryOptions& query_options);
 
-  // Streaming form of Query(): admits through the same scheduler (same
+  // Streaming form of Query(): the same preparation stage (same
   // priorities, fair share, queue timeouts — a timeout fails here with
-  // Status::DeadlineExceeded before any state is touched), then returns a
+  // Status::DeadlineExceeded before any state is touched), returning a
   // cursor that yields the result batch-by-batch. See QueryCursor for
   // lifecycle and backpressure; WarehouseOptions::cursor_window_batches
   // bounds what a slow consumer can keep buffered.
@@ -332,9 +342,10 @@ class Warehouse {
   Result<std::unique_ptr<QueryCursor>> OpenCursor(
       const std::string& sql, const QueryOptions& query_options);
 
-  // Parses, binds, and plans `sql` without executing it: the report holds
-  // the naive plan and the reorganised (metadata-first) plan. No data is
-  // touched, no metadata is hydrated, and no admission ticket is needed.
+  // Parses, binds, and plans `sql` without executing it (the compile part
+  // of the preparation stage): the report holds the naive plan and the
+  // reorganised (metadata-first) plan. No data is touched, no metadata is
+  // hydrated, and no admission ticket is needed.
   Result<engine::ExecutionReport> Explain(const std::string& sql);
 
   // Re-scans attached repositories: registers new files, refreshes the
@@ -378,8 +389,9 @@ class Warehouse {
 
   // Copy-on-write session over catalog tables: Mutable() clones a table
   // on first access, Publish() swaps the clones into the catalog so
-  // concurrently executing queries keep their immutable snapshots. The
-  // whole session must run under an exclusive meta_mu_ lock.
+  // concurrently executing queries keep their immutable snapshots, and
+  // bumps the result cache's admission epoch. The whole session must run
+  // under an exclusive meta_mu_ lock.
   class CatalogWriter;
 
   explicit Warehouse(WarehouseOptions options);
@@ -438,6 +450,25 @@ class Warehouse {
 
   // Current mtime of a file, or -1 when it cannot be statted.
   NanoTime CurrentMtime(const std::string& path) const;
+
+  // True while every dependency still has its recorded mtime.
+  bool DepsFresh(const std::vector<engine::ResultDependency>& deps) const;
+
+  // The compile steps shared by the query lifecycle and Explain(); each
+  // records its phase time in `report`.
+  Result<sql::BoundQuery> ParseAndBind(const std::string& sql,
+                                       engine::ExecutionReport* report);
+  Result<engine::PlannedQuery> PlanBound(const sql::BoundQuery& bound,
+                                         engine::ExecutionReport* report);
+
+  // The query lifecycle, written once: admission (ticket first, or after
+  // planning when footprint-aware), parse/bind, lazy refresh, hydration,
+  // planning, the sub-plan and result-cache probes (re-checked after the
+  // queue wait), and the execution cursor over `window_batches` (0 =
+  // unbounded, the materializing Query()).
+  Result<std::unique_ptr<QueryCursor>> Prepare(
+      const std::string& sql, const QueryOptions& query_options,
+      size_t window_batches);
 
   Result<storage::TablePtr> FilesTable() const;
   Result<storage::TablePtr> RecordsTable() const;

@@ -231,20 +231,12 @@ Result<std::unique_ptr<ExecutionCursor>> Executor::OpenCursor(
   return cursor;
 }
 
-Result<Table> Executor::Execute(const PlanNode& plan, ExecutionReport* report,
-                                QueryContext* qctx) {
-  // The materializing path is a drain loop over the streaming cursor with
-  // an unbounded window: when the root pipeline is parallel-safe,
-  // `threads` workers pull morsels concurrently and the result table is
-  // reassembled in seq order — byte-identical to the serial drain.
-  LAZYETL_ASSIGN_OR_RETURN(std::unique_ptr<ExecutionCursor> cursor,
-                           OpenCursor(plan, report, qctx,
-                                      /*window_batches=*/0));
+Result<Table> ExecutionCursor::Drain() {
   Table result;
   bool first = true;
   Batch batch;
   while (true) {
-    LAZYETL_ASSIGN_OR_RETURN(bool more, cursor->Next(&batch));
+    LAZYETL_ASSIGN_OR_RETURN(bool more, Next(&batch));
     if (!more) break;
     if (first) {
       result = batch.view.Materialize();
@@ -254,8 +246,20 @@ Result<Table> Executor::Execute(const PlanNode& plan, ExecutionReport* report,
     }
     batch = Batch();
   }
-  cursor->Close();
+  Close();
   return result;
+}
+
+Result<Table> Executor::Execute(const PlanNode& plan, ExecutionReport* report,
+                                QueryContext* qctx) {
+  // The materializing path drains the streaming cursor with an unbounded
+  // window: when the root pipeline is parallel-safe, `threads` workers
+  // pull morsels concurrently and the result table is reassembled in seq
+  // order — byte-identical to the serial drain.
+  LAZYETL_ASSIGN_OR_RETURN(std::unique_ptr<ExecutionCursor> cursor,
+                           OpenCursor(plan, report, qctx,
+                                      /*window_batches=*/0));
+  return cursor->Drain();
 }
 
 }  // namespace lazyetl::engine

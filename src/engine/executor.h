@@ -111,7 +111,7 @@ struct ExecContext;
 
 // A suspended query execution: the operator tree stays open while the
 // consumer pulls in-order batches through Next(). Produced by
-// Executor::OpenCursor; Execute() is now a drain loop over one of these.
+// Executor::OpenCursor; Execute() is OpenCursor() + Drain().
 //
 // Close() (implied by the destructor, idempotent) cancels the drive loop,
 // closes the operator tree, finalizes the per-operator stats in the
@@ -131,6 +131,11 @@ class ExecutionCursor {
   // the schema. Errors finalize the report (without per-operator stats,
   // matching Execute) and are sticky.
   Result<bool> Next(Batch* out);
+
+  // Pulls every remaining batch and appends its view to one table (the
+  // first batch carries the schema), then closes — the materializing
+  // consumer; no per-batch copy beyond the append.
+  Result<storage::Table> Drain();
 
   // Tears down the pipeline: cancel + join the drive loop, close the
   // operator tree, finalize the report, release standalone context state.

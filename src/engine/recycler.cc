@@ -198,8 +198,12 @@ std::vector<RecordKey> Recycler::Keys() const {
   return {lru_.begin(), lru_.end()};
 }
 
-void ResultRecycler::Admit(const std::string& sql, CachedResult result) {
+void ResultRecycler::Admit(const std::string& sql, CachedResult result,
+                           uint64_t epoch_at_plan) {
   std::lock_guard<std::mutex> lock(mu_);
+  if (epoch_.load(std::memory_order_acquire) != epoch_at_plan) {
+    return;  // the catalog was republished between planning and admission
+  }
   if (map_.size() >= max_entries_ && !map_.count(sql)) {
     // Simple bound: drop an arbitrary entry (result cache is a small,
     // best-effort layer; record-level recycling does the heavy lifting).

@@ -32,6 +32,9 @@
 // "usually the end result of a view is saved in the cache" — with
 // conservative invalidation: a cached result lists the (file, mtime) pairs
 // it depends on and is only served while all of them are unchanged.
+// Admission follows PlanCache's epoch protocol: a result computed against a
+// catalog that was republished before it was admitted is refused, because
+// its dependency mtimes were read from the registry's newer state.
 
 #ifndef LAZYETL_ENGINE_RECYCLER_H_
 #define LAZYETL_ENGINE_RECYCLER_H_
@@ -184,6 +187,11 @@ using CachedResultPtr = std::shared_ptr<const CachedResult>;
 // returns the current mtime for a dependency or a negative value when the
 // file is gone. Thread-safe; the dependency stats run outside the cache
 // lock so slow filesystems never serialise concurrent queries here.
+//
+// Admission epoch: the owner bumps the epoch after every catalog publish
+// (BumpEpoch; Clear bumps too). A query observes epoch() before planning
+// and passes it to Admit, which refuses the result when the epoch has
+// moved since — the result may mix the old catalog with new file state.
 class ResultRecycler {
  public:
   explicit ResultRecycler(size_t max_entries = 64) : max_entries_(max_entries) {}
@@ -219,10 +227,23 @@ class ResultRecycler {
     return entry;
   }
 
-  void Admit(const std::string& sql, CachedResult result);
+  // The current admission epoch; observe it before planning and pass it
+  // to Admit.
+  uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
+
+  // Marks every in-flight result as computed against an outdated catalog.
+  void BumpEpoch() { epoch_.fetch_add(1, std::memory_order_release); }
+
+  // Inserts or replaces; refused when the epoch has moved since
+  // `epoch_at_plan` was observed.
+  void Admit(const std::string& sql, CachedResult result,
+             uint64_t epoch_at_plan);
+
+  // Drops everything and bumps the admission epoch.
   void Clear() {
     std::lock_guard<std::mutex> lock(mu_);
     map_.clear();
+    BumpEpoch();
   }
 
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
@@ -242,6 +263,7 @@ class ResultRecycler {
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> invalidations_{0};
+  std::atomic<uint64_t> epoch_{0};
 };
 
 }  // namespace lazyetl::engine

@@ -158,14 +158,8 @@ void QueryServer::Stop() {
   if (accept_thread_.joinable()) accept_thread_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
-  std::vector<std::thread> conns;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    conns.swap(connections_);
-  }
-  for (std::thread& t : conns) {
-    if (t.joinable()) t.join();
-  }
+  std::unique_lock<std::mutex> lock(conn_mu_);
+  conn_cv_.wait(lock, [this] { return live_connections_ == 0; });
 }
 
 ServerCounters QueryServer::counters() const {
@@ -194,11 +188,18 @@ void QueryServer::AcceptLoop() {
     timeval snd_to{10, 0};
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &snd_to, sizeof(snd_to));
     connections_total_.fetch_add(1);
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    connections_.emplace_back([this, fd] {
+    {
+      std::lock_guard<std::mutex> lock(conn_mu_);
+      ++live_connections_;
+    }
+    // Detached, so a finished connection leaves nothing behind; the last
+    // touch of `this` is the decrement Stop waits for.
+    std::thread([this, fd] {
       ServeConnection(fd);
       ::close(fd);
-    });
+      std::lock_guard<std::mutex> lock(conn_mu_);
+      if (--live_connections_ == 0) conn_cv_.notify_all();
+    }).detach();
   }
 }
 

@@ -27,21 +27,22 @@
 //   GET /healthz       200 "ok".
 //
 // Lifecycle: Start binds/listens and spawns the accept loop;
-// connections are served one thread each and joined by Stop, which also
-// closes the listener. Every cursor is closed on every exit path
-// (clean end, mid-stream error, client disconnect), so an abandoned
-// stream releases its admission ticket, budget carve and spill
-// directory exactly once.
+// connections are served one detached thread each, counted while live;
+// Stop closes the listener and waits for the count to reach zero, so a
+// long-running server holds no thread for a connection that has ended.
+// Every cursor is closed on every exit path (clean end, mid-stream error,
+// client disconnect), so an abandoned stream releases its admission
+// ticket, budget carve and spill directory exactly once.
 
 #ifndef LAZYETL_SERVER_SERVER_H_
 #define LAZYETL_SERVER_SERVER_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -100,7 +101,8 @@ class QueryServer {
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
   std::mutex conn_mu_;
-  std::vector<std::thread> connections_;
+  std::condition_variable conn_cv_;  // signalled when a connection ends
+  size_t live_connections_ = 0;      // guarded by conn_mu_
 
   std::atomic<uint64_t> connections_total_{0};
   std::atomic<uint64_t> queries_ok_{0};

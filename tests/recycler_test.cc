@@ -221,7 +221,7 @@ TEST(ResultRecyclerTest, HitMissAndInvalidation) {
   ASSERT_STATUS_OK(result.table.AddColumn(
       "x", storage::Column::FromInt64({42})));
   result.deps = {{1, "/repo/a.mseed", 100}};
-  cache.Admit("SELECT 1", std::move(result));
+  cache.Admit("SELECT 1", std::move(result), cache.epoch());
 
   // All deps unchanged -> hit.
   auto unchanged = [](const ResultDependency& d) { return d.mtime; };
@@ -245,9 +245,34 @@ TEST(ResultRecyclerTest, BoundedEntries) {
   ResultRecycler cache(2);
   for (int i = 0; i < 5; ++i) {
     CachedResult r;
-    cache.Admit("q" + std::to_string(i), std::move(r));
+    cache.Admit("q" + std::to_string(i), std::move(r), cache.epoch());
   }
   EXPECT_LE(cache.entries(), 2u);
+}
+
+// A result computed before a catalog publish carries dependency mtimes
+// read after it: admission must refuse it, exactly like PlanCache::Admit.
+TEST(ResultRecyclerTest, AdmissionRefusedAfterEpochBump) {
+  ResultRecycler cache;
+  auto unchanged = [](const ResultDependency& d) { return d.mtime; };
+  CachedResult result;
+  result.deps = {{1, "/repo/a.mseed", 100}};
+
+  const uint64_t observed = cache.epoch();
+  cache.BumpEpoch();  // a catalog publish between planning and admission
+  cache.Admit("SELECT 1", result, observed);
+  EXPECT_EQ(cache.entries(), 0u);
+  EXPECT_EQ(cache.ValidateAndGet("SELECT 1", unchanged), nullptr);
+
+  // Clear() bumps too.
+  const uint64_t before_clear = cache.epoch();
+  cache.Clear();
+  cache.Admit("SELECT 1", result, before_clear);
+  EXPECT_EQ(cache.entries(), 0u);
+
+  // An admission that observed the current epoch is accepted.
+  cache.Admit("SELECT 1", result, cache.epoch());
+  EXPECT_NE(cache.ValidateAndGet("SELECT 1", unchanged), nullptr);
 }
 
 }  // namespace

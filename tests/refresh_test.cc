@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <thread>
+#include <vector>
 
+#include "common/macros.h"
 #include "core/schema.h"
 #include "core/warehouse.h"
 #include "mseed/reader.h"
@@ -293,6 +297,191 @@ TEST_F(RefreshTest, AppendToFileExtendsSeries) {
   ASSERT_OK(after);
   EXPECT_EQ(after->table.GetValue(0, 0).int64_value(),
             before->table.GetValue(0, 0).int64_value() + 400);
+}
+
+// A footprint-aware query validates a result-cache hit before it queues
+// for admission. When the file under that result is rewritten while the
+// query waits for the only slot, it must execute after the wait instead of
+// serving the stale entry — on both lifecycle paths.
+TEST_F(RefreshTest, FootprintResultHitRecheckedAfterQueueWait) {
+  WarehouseOptions options;
+  options.strategy = LoadStrategy::kLazy;
+  options.footprint_aware_admission = true;
+  options.max_concurrent_queries = 1;
+  auto opened = Warehouse::Open(options);
+  ASSERT_OK(opened);
+  std::unique_ptr<Warehouse> wh = std::move(*opened);
+  ASSERT_OK(wh->AttachRepository(dir_.path()));
+  const std::string sql =
+      "SELECT COUNT(*) FROM mseed.dataview WHERE F.station = 'WIT'";
+  std::string target;
+  for (const auto& f : repo_.files) {
+    if (f.station == "WIT") {
+      target = f.path;
+      break;
+    }
+  }
+  ASSERT_FALSE(target.empty());
+
+  double seconds = 20.0;
+  for (bool streamed : {false, true}) {
+    SCOPED_TRACE(streamed ? "OpenCursor" : "Query");
+    ASSERT_OK(wh->Query(sql));  // caches the current answer
+    auto holder = wh->OpenCursor("SELECT file_id FROM mseed.files;");
+    ASSERT_OK(holder);
+    storage::Table first;
+    ASSERT_OK((*holder)->Next(&first));  // holds the only slot
+
+    Status status;
+    int64_t answer = -1;
+    bool hit = true;
+    std::thread waiter([&] {
+      if (!streamed) {
+        auto r = wh->Query(sql);
+        status = r.status();
+        if (!r.ok()) return;
+        answer = r->table.GetValue(0, 0).int64_value();
+        hit = r->report.result_cache_hit;
+        return;
+      }
+      auto cursor = wh->OpenCursor(sql);
+      status = cursor.status();
+      if (!cursor.ok()) return;
+      storage::Table batch;
+      while (true) {
+        auto more = (*cursor)->Next(&batch);
+        status = more.status();
+        if (!more.ok() || !*more) break;
+        if (batch.num_rows() > 0) answer = batch.GetValue(0, 0).int64_value();
+      }
+      hit = (*cursor)->report().result_cache_hit;
+    });
+    // The waiter probes the result cache before it queues.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (wh->Stats().queries_waiting == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(wh->Stats().queries_waiting, 1u);
+    seconds += 5.0;
+    ModifyFile(target, seconds);
+    (*holder)->Close();
+    waiter.join();
+
+    auto fresh = MustOpen(LoadStrategy::kLazy, dir_.path(),
+                          /*cache_budget=*/64ULL << 20, /*result_cache=*/false);
+    auto expected = fresh->Query(sql);
+    ASSERT_OK(expected);
+    ASSERT_STATUS_OK(status);
+    EXPECT_FALSE(hit);
+    EXPECT_EQ(answer, expected->table.GetValue(0, 0).int64_value());
+  }
+}
+
+// The stale-result race: a reader planned against the catalog that a
+// concurrent Refresh() (or another reader's stale reload) then replaced
+// used to record its result's dependency mtimes after the publish, so its
+// outdated answer looked fresh in the result cache and was served until
+// the file changed again. With one fixed SQL text, every answer must cover
+// every write acknowledged before it was asked, and nothing unwritten.
+TEST_F(RefreshTest, FixedSqlPollsCoverAcknowledgedWrites) {
+  auto wh = MustOpen(LoadStrategy::kLazy, dir_.path());
+  ScopedTempDir staging;
+  const std::string live_dir = dir_.path() + "/2010/KO/LIVE/BHZ.D";
+  fs::create_directories(live_dir);
+  const std::string name =
+      mseed::SdsFilename("KO", "LIVE", "", "BHZ", 'D', 2010, 10, 0, 1);
+  const std::string sql =
+      "SELECT COUNT(*) FROM mseed.dataview WHERE F.station = 'LIVE'";
+  constexpr size_t kChunk = 50;
+  constexpr size_t kMaxWrites = 400;
+  mseed::SynthOptions synth;
+  synth.seed = 4242;
+  const std::vector<int32_t> samples =
+      mseed::GenerateSeismogram(kChunk * kMaxWrites, synth);
+  auto start_time = ParseTimestamp("2010-01-10T00:00:00.000");
+  ASSERT_OK(start_time);
+  const auto base_mtime = fs::file_time_type::clock::now();
+
+  std::atomic<uint64_t> started{0};
+  std::atomic<uint64_t> acked{0};
+  size_t records = 0;
+  // One write appends a chunk to a copy of the live file and renames the
+  // copy into place; every few writes also call Refresh(). Between them,
+  // queries find the rewritten file by its mtime and reload it lazily. A
+  // write is acknowledged once the file is in place. Earlier records stay
+  // byte-identical, so a reader holding the previous metadata still
+  // decodes them correctly — only its answer is older.
+  auto write = [&](size_t w) -> Status {
+    const std::string live = live_dir + "/" + name;
+    const std::string tmp = staging.path() + "/" + name;
+    started.store((w + 1) * kChunk);
+    mseed::TimeSeries ts;
+    ts.network = "KO";
+    ts.station = "LIVE";
+    ts.channel = "BHZ";
+    ts.sample_rate = 40.0;
+    ts.start_time = *start_time + static_cast<int64_t>(w * kChunk) *
+                                      (kNanosPerSecond / 40);
+    ts.samples.assign(samples.begin() + w * kChunk,
+                      samples.begin() + (w + 1) * kChunk);
+    if (w > 0) fs::copy_file(live, tmp, fs::copy_options::overwrite_existing);
+    auto written =
+        w == 0 ? mseed::WriteMseedFile(tmp, ts, mseed::WriterOptions{})
+               : mseed::AppendToMseedFile(tmp, ts, mseed::WriterOptions{},
+                                          static_cast<int32_t>(records + 1));
+    LAZYETL_RETURN_NOT_OK(written.status());
+    records += written->num_records;
+    // Strictly increasing mtimes: rewrites within one filesystem
+    // timestamp tick must still look modified.
+    fs::last_write_time(tmp, base_mtime + std::chrono::seconds(w + 1));
+    fs::rename(tmp, live);
+    if (w % 4 == 0) LAZYETL_RETURN_NOT_OK(wh->Refresh().status());
+    acked.store((w + 1) * kChunk);
+    return Status::OK();
+  };
+  ASSERT_STATUS_OK(write(0));
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> answers{0};
+  std::atomic<uint64_t> wrong{0};
+  std::atomic<uint64_t> failed{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      while (!stop.load()) {
+        const uint64_t floor = acked.load();
+        auto result = wh->Query(sql);
+        const uint64_t ceiling = started.load();
+        if (!result.ok()) {
+          if (failed.fetch_add(1) == 0) {
+            ADD_FAILURE() << result.status().ToString();
+          }
+          continue;
+        }
+        const auto count =
+            static_cast<uint64_t>(result->table.GetValue(0, 0).int64_value());
+        if (count < floor || count > ceiling) wrong.fetch_add(1);
+        answers.fetch_add(1);
+      }
+    });
+  }
+  Status writer_status;
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(1500);
+  for (size_t w = 1; w < kMaxWrites && writer_status.ok() &&
+                     std::chrono::steady_clock::now() < until;
+       ++w) {
+    writer_status = write(w);
+  }
+  stop.store(true);
+  for (auto& t : readers) t.join();
+
+  ASSERT_STATUS_OK(writer_status);
+  EXPECT_GT(answers.load(), 0u);
+  EXPECT_EQ(failed.load(), 0u);
+  EXPECT_EQ(wrong.load(), 0u) << "of " << answers.load() << " answers";
 }
 
 }  // namespace

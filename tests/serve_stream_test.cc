@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -131,6 +132,137 @@ TEST_F(ServeStreamTest, StreamedMatchesMaterializedAcrossConfigs) {
       }
       srv.Stop();
     }
+  }
+}
+
+// --- Lifecycle parity: Query() ≡ OpenCursor() + drain --------------------
+
+// One lifecycle path through a fresh warehouse: configuration, warm-up
+// queries run through Query() first, an optional open cursor holding the
+// only admission slot, and the SQL compared on both paths.
+struct LifecycleCase {
+  const char* name;
+  bool footprint_aware = false;
+  int plan_cache = 0;
+  bool result_cache = true;
+  size_t max_concurrent = 0;
+  const char* warm_sql = nullptr;
+  bool hold_slot = false;
+  int64_t queue_timeout_ms = 0;
+  const char* sql = nullptr;
+  const char* expect = nullptr;  // what this case must show on both paths
+};
+
+// Everything one run of the lifecycle left observable: the answer or its
+// error code, the report's admission and cache fields, and the deltas of
+// the warehouse counters it moved.
+std::string DescribeLifecycle(const Status& status,
+                              const engine::ExecutionReport& report,
+                              const WarehouseStats& before,
+                              const WarehouseStats& after) {
+  std::string out = std::string("code=") + StatusCodeToString(status.code());
+  if (status.ok()) {
+    out += " ticket=" + std::to_string(report.ticket_id) +
+           " priority=" + report.priority + " client=" + report.client_id +
+           " estimated=" + std::to_string(report.estimated_footprint_bytes) +
+           " budget=" + std::to_string(report.admitted_budget_bytes) +
+           " result_hit=" + std::to_string(report.result_cache_hit) +
+           " plan_hit=" + std::to_string(report.plan_cache_hit) +
+           " rows=" + std::to_string(report.result_rows);
+  }
+  auto delta = [](uint64_t a, uint64_t b) { return std::to_string(b - a); };
+  out += " d_result_hits=" +
+         delta(before.result_cache_hits, after.result_cache_hits) +
+         " d_result_entries=" +
+         delta(before.result_cache_entries, after.result_cache_entries) +
+         " d_plan_hits=" + delta(before.plan_cache.hits, after.plan_cache.hits) +
+         " d_plan_misses=" +
+         delta(before.plan_cache.misses, after.plan_cache.misses) +
+         " d_admitted=" + delta(before.queries_admitted, after.queries_admitted) +
+         " d_timed_out=" +
+         delta(before.queries_timed_out, after.queries_timed_out);
+  return out;
+}
+
+TEST_F(ServeStreamTest, LifecycleParityAcrossCachesAndFailures) {
+  const LifecycleCase cases[] = {
+      {"result-cache hit, FIFO", false, 0, true, 0, testing::kPaperQ1, false,
+       0, testing::kPaperQ1, "result_hit=1"},
+      {"result-cache hit, footprint-aware", true, 0, true, 0,
+       testing::kPaperQ1, false, 0, testing::kPaperQ1, "result_hit=1"},
+      {"sub-plan hit", false, 1, false, 0, testing::kPaperQ2, false, 0,
+       testing::kPaperQ2, "plan_hit=1"},
+      {"queue timeout", false, 0, true, 1, nullptr, true, 20,
+       testing::kPaperQ1, "code=deadline-exceeded"},
+      {"parse error", false, 0, true, 0, nullptr, false, 0, "SELEC nonsense",
+       "code=parse-error"},
+      {"bind error", false, 0, true, 0, nullptr, false, 0,
+       "SELECT x FROM no.such_table;", "code=bind-error"},
+  };
+  for (const LifecycleCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::string described[2];
+    std::vector<std::string> rows[2];
+    for (int side = 0; side < 2; ++side) {
+      const bool streamed = side == 1;
+      WarehouseOptions options;
+      options.strategy = LoadStrategy::kLazy;
+      options.query_threads = 2;
+      options.batch_rows = kTestBatchRows;
+      options.enable_result_cache = c.result_cache;
+      options.enable_plan_cache = c.plan_cache;
+      options.enable_column_cache = 0;
+      options.footprint_aware_admission = c.footprint_aware;
+      options.max_concurrent_queries = c.max_concurrent;
+      auto opened = Warehouse::Open(options);
+      ASSERT_OK(opened);
+      std::unique_ptr<Warehouse> wh = std::move(*opened);
+      ASSERT_OK(wh->AttachRepository(repo()));
+      if (c.warm_sql != nullptr) ASSERT_OK(wh->Query(c.warm_sql));
+      std::unique_ptr<QueryCursor> holder;
+      if (c.hold_slot) {
+        auto cursor = wh->OpenCursor(kParityQueries[3]);
+        ASSERT_OK(cursor);
+        holder = std::move(*cursor);
+        Table first;
+        ASSERT_OK(holder->Next(&first));
+      }
+
+      QueryOptions qopts;
+      qopts.client_id = "tenant-7";
+      qopts.queue_timeout_ms = c.queue_timeout_ms;
+      const WarehouseStats before = wh->Stats();
+      Status status;
+      engine::ExecutionReport report;
+      if (!streamed) {
+        auto result = wh->Query(c.sql, qopts);
+        status = result.status();
+        if (result.ok()) {
+          rows[side] = server::JsonRows(result->table);
+          report = result->report;
+        }
+      } else {
+        auto cursor = wh->OpenCursor(c.sql, qopts);
+        status = cursor.status();
+        if (cursor.ok()) {
+          Table batch;
+          while (true) {
+            auto more = (*cursor)->Next(&batch);
+            ASSERT_OK(more);
+            if (!*more) break;
+            for (std::string& row : server::JsonRows(batch)) {
+              rows[side].push_back(std::move(row));
+            }
+          }
+          report = (*cursor)->report();
+        }
+      }
+      described[side] = DescribeLifecycle(status, report, before, wh->Stats());
+      if (holder != nullptr) holder->Close();
+    }
+    EXPECT_NE(described[0].find(c.expect), std::string::npos) << described[0];
+    EXPECT_EQ(described[0], described[1]);
+    EXPECT_EQ(rows[0], rows[1]);
   }
 }
 
@@ -436,6 +568,53 @@ TEST_F(ServeStreamTest, ConcurrentClientsStreamConsistently) {
   srv.Stop();
   EXPECT_EQ(wh->Stats().queries_active, 0u);
   EXPECT_EQ(srv.counters().queries_ok, static_cast<uint64_t>(kClients));
+}
+
+// --- Connection churn ------------------------------------------------------
+
+// A field of this process's /proc/self/status, in its own unit.
+uint64_t ProcStatus(const std::string& field) {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(field + ":", 0) == 0) {
+      std::istringstream value(line.substr(field.size() + 1));
+      uint64_t v = 0;
+      value >> v;
+      return v;
+    }
+  }
+  return 0;
+}
+
+// A long-running server must not keep a thread (or its stack) for every
+// connection it has ever accepted: finished connection threads are reaped.
+TEST_F(ServeStreamTest, ConnectionChurnReapsThreads) {
+  auto wh = OpenServing(repo(), 1, 0);
+  server::QueryServer srv(wh.get());
+  ASSERT_STATUS_OK(srv.Start());
+  ASSERT_OK(server::HttpGet("127.0.0.1", srv.port(), "/healthz"));
+  const uint64_t threads_before = ProcStatus("Threads");
+  const uint64_t vm_before_kb = ProcStatus("VmSize");
+
+  constexpr int kConnections = 300;
+  for (int i = 0; i < kConnections; ++i) {
+    ASSERT_OK(server::HttpGet("127.0.0.1", srv.port(), "/healthz"));
+  }
+  // The last connections' threads may still be unwinding.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (ProcStatus("Threads") > threads_before + 4 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_LE(ProcStatus("Threads"), threads_before + 4);
+  // An exited but unjoined thread keeps its stack mapped: 300 of them
+  // would add hundreds of MiB of address space.
+  EXPECT_LE(ProcStatus("VmSize"), vm_before_kb + (64u << 10))
+      << "VmSize grew from " << vm_before_kb << " kB";
+  EXPECT_EQ(srv.counters().connections, kConnections + 1u);
+  srv.Stop();
 }
 
 }  // namespace

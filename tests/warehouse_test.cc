@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <thread>
 
 #include "common/log.h"
 #include "core/schema.h"
@@ -274,6 +275,69 @@ TEST_F(WarehouseTest, OperationLogRecordsPhases) {
   EXPECT_TRUE(saw_metadata_load);
   EXPECT_TRUE(saw_rewrite);
   EXPECT_TRUE(saw_extract);
+}
+
+// The lines the query lifecycle writes after admission name the ticket,
+// so two concurrent queries' lines can be told apart: a result-cache hit
+// and a sub-plan hit, each with its admission and done lines.
+TEST_F(WarehouseTest, LifecycleLogLinesNameTheTicket) {
+  WarehouseOptions options;
+  options.strategy = LoadStrategy::kLazy;
+  options.enable_plan_cache = 1;
+  options.enable_column_cache = 0;
+  options.plan_cache_budget_bytes = 64ULL << 20;
+  options.cache_pool_budget_bytes = 256ULL << 20;
+  auto opened = Warehouse::Open(options);
+  ASSERT_OK(opened);
+  std::unique_ptr<Warehouse> wh = std::move(*opened);
+  ASSERT_OK(wh->AttachRepository(dir_.path()));
+  const std::string sql = lazyetl::testing::kPaperQ2;
+  ASSERT_OK(wh->Query(sql));  // admits the sub-plan and the result
+
+  auto& log = OperationLog::Global();
+  const int64_t mark = log.LastSeq();
+  Result<QueryResult> result_hit = Status::Internal("not run");
+  Result<QueryResult> subplan_hit = Status::Internal("not run");
+  // Same plan, different text: a result-cache miss over a sub-plan hit.
+  std::thread a([&] { result_hit = wh->Query(sql); });
+  std::thread b([&] { subplan_hit = wh->Query(sql + " -- again"); });
+  a.join();
+  b.join();
+  ASSERT_OK(result_hit);
+  ASSERT_OK(subplan_hit);
+  ASSERT_TRUE(result_hit->report.result_cache_hit);
+  ASSERT_TRUE(subplan_hit->report.plan_cache_hit);
+  const uint64_t ta = result_hit->report.ticket_id;
+  const uint64_t tb = subplan_hit->report.ticket_id;
+  ASSERT_NE(ta, tb);
+
+  auto lines_naming = [&](uint64_t ticket) {
+    const std::string tag = "ticket " + std::to_string(ticket);
+    std::vector<std::string> lines;
+    for (const auto& e : log.EntriesSince(mark)) {
+      size_t at = e.message.find(tag);
+      if (at == std::string::npos) continue;
+      char next = e.message[at + tag.size()];
+      if (next == ')' || next == ',') lines.push_back(e.message);
+    }
+    return lines;
+  };
+  auto has = [](const std::vector<std::string>& lines, const std::string& s) {
+    for (const auto& l : lines) {
+      if (l.find(s) != std::string::npos) return true;
+    }
+    return false;
+  };
+  const auto a_lines = lines_naming(ta);
+  const auto b_lines = lines_naming(tb);
+  EXPECT_TRUE(has(a_lines, "query (ticket")) << ::testing::PrintToString(a_lines);
+  EXPECT_TRUE(has(a_lines, "answered from result cache"));
+  EXPECT_TRUE(has(a_lines, "query done"));
+  EXPECT_FALSE(has(a_lines, "sub-plan served"));
+  EXPECT_TRUE(has(b_lines, "query (ticket")) << ::testing::PrintToString(b_lines);
+  EXPECT_TRUE(has(b_lines, "sub-plan served from plan cache"));
+  EXPECT_TRUE(has(b_lines, "query done"));
+  EXPECT_FALSE(has(b_lines, "answered from result cache"));
 }
 
 }  // namespace
